@@ -153,8 +153,8 @@ func fmtSscan(s string, v *float64) (int, error) {
 
 func TestNetScalingQuick(t *testing.T) {
 	e := NetScaling(Options{Quick: true})
-	if len(e.Rows) != 3 {
-		t.Fatalf("rows = %d, want one per mapping", len(e.Rows))
+	if len(e.Rows) != 5 {
+		t.Fatalf("rows = %d, want one per mapping plus exact-allreduce rows at 8 and 64 ranks", len(e.Rows))
 	}
 	for _, n := range e.Notes {
 		if strings.Contains(n, "DEVIATION") {
@@ -169,6 +169,15 @@ func TestNetScalingQuick(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("missing mapping-ordering note:\n%s", e.String())
+	}
+	found = false
+	for _, n := range e.Notes {
+		if strings.Contains(n, "exact allreduce log-p growth") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("missing exact-allreduce log-p note:\n%s", e.String())
 	}
 }
 

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bgpsim"
+	"repro/internal/detsum"
 	"repro/internal/mpi"
 	"repro/internal/topology"
 )
@@ -17,12 +19,15 @@ import (
 // makespans are deterministic (NoComputeWall), so the Cartesian-embed
 // vs shuffled-placement ordering is asserted in the notes, not just
 // eyeballed — the section V mapping experiment on the real runtime.
+// The exact-allreduce rows time one detsum accumulator reduction alone
+// and assert its log-p growth (see accAllreduceRows).
 func NetScaling(opts Options) *Experiment {
 	e := &Experiment{
 		Name: "netmodel",
 		Caption: "calibrated transport at scale: halo-exchange + allreduce rounds on the\n" +
-			"live runtime, virtual makespan per simulated rank count x rank placement",
-		Header: []string{"ranks", "procs", "network", "mapping", "makespan (virt)"},
+			"live runtime, virtual makespan per simulated rank count x rank placement;\n" +
+			"exact allreduce: virtual time of one detsum accumulator reduction",
+		Header: []string{"ranks", "procs", "network", "mapping", "workload", "virt time"},
 	}
 	rankCounts := []int{64, 512, 4096}
 	rounds := 3
@@ -51,7 +56,7 @@ func NetScaling(opts Options) *Experiment {
 				net = "torus"
 			}
 			e.AddRow(fmt.Sprintf("%d", p), procs.String(),
-				fmt.Sprintf("%s %v", net, m.Net.Dims), mapping.String(),
+				fmt.Sprintf("%s %v", net, m.Net.Dims), mapping.String(), "halo rounds",
 				fmt.Sprintf("%9.1f us", float64(mk)/1e3))
 			switch mapping {
 			case topology.MapCart:
@@ -71,7 +76,61 @@ func NetScaling(opts Options) *Experiment {
 	}
 	e.AddNote("workload: %d rounds of six-face halo exchange (%d doubles/face) + allreduce; "+
 		"costs from the bgpsim Figure-2 fit", rounds, faceElems)
+	accRanks := []int{64, 512, 4096}
+	if opts.Quick {
+		accRanks = []int{8, 64}
+	}
+	accAllreduceRows(e, accRanks)
 	return e
+}
+
+// accAllreduceRows adds one row per rank count with the modeled virtual
+// time of a single-accumulator exact allreduce (mpi.
+// AllreduceTransports, linear placement, NoComputeWall), then a note
+// asserting log-p growth: from the smallest to the largest count the
+// cost may grow at most 1.25x the ratio of their log2 p — 2.5 from 64 to
+// 4096 ranks, where a linear reduce at a root would pay (p-1) receive
+// posts alone.
+func accAllreduceRows(e *Experiment, rankCounts []int) {
+	costs := make([]float64, len(rankCounts))
+	var postCost float64
+	for i, p := range rankCounts {
+		m := bgpsim.NetModelFor(p)
+		m.NoComputeWall = true
+		postCost = m.Params.PostCost
+		want := float64(p*(p-1))/2 + 0.125*float64(p)
+		mk, err := mpi.RunModeled(p, mpi.ThreadSingle, m, func(c *mpi.Comm) {
+			var a detsum.Acc
+			a.Add(float64(c.Rank()) + 0.125)
+			in := a.Transport(nil)
+			out := make([]float64, len(in))
+			c.AllreduceTransports(in, out)
+			if got := detsum.RoundTransport(out); got != want {
+				panic(fmt.Sprintf("exact allreduce = %g, want %g", got, want))
+			}
+		})
+		if err != nil {
+			panic(fmt.Sprintf("bench: exact allreduce at %d ranks: %v", p, err))
+		}
+		costs[i] = float64(mk) / 1e3
+		net := "mesh"
+		if m.Net.Torus {
+			net = "torus"
+		}
+		e.AddRow(fmt.Sprintf("%d", p), "-", fmt.Sprintf("%s %v", net, m.Net.Dims),
+			topology.MapLinear.String(), "exact allreduce", fmt.Sprintf("%9.1f us", costs[i]))
+	}
+	lo, hi := rankCounts[0], rankCounts[len(rankCounts)-1]
+	ratio := costs[len(costs)-1] / costs[0]
+	bound := 1.25 * math.Log2(float64(hi)) / math.Log2(float64(lo))
+	verdict := "log-p growth"
+	if ratio > bound {
+		verdict = "DEVIATION: super-logarithmic growth"
+	}
+	e.AddNote("exact allreduce %s: %d-to-%d rank cost ratio %.2f (bound %.2f, log2 ratio %.2f); "+
+		"a linear root would pay %.1f us in receive posts alone at %d ranks",
+		verdict, hi, lo, ratio, bound, math.Log2(float64(hi))/math.Log2(float64(lo)),
+		float64(hi-1)*postCost*1e6, hi)
 }
 
 // haloRounds exchanges all six faces with the periodic neighbours on the

@@ -22,10 +22,31 @@
 //
 // Accumulators serialize to a flat []float64 (Transport/MergeTransport)
 // so they travel through the mpi runtime unchanged and merge on the
-// receiving rank with the same exactness guarantee.
+// receiving rank with the same exactness guarantee. Because the merge is
+// exact and associative, every reduction tree — the mpi runtime's
+// recursive-doubling allreduce, a linear fold, a serial Sum — yields the
+// same transport words and therefore the same rounded bits.
+//
+// # Wire format
+//
+// A transport is TransportLen words, but a typical accumulator has only
+// a few non-zero bins. PackTransports compresses each transport of a
+// concatenation to one record
+//
+//	[lo, cnt, bins[lo:lo+cnt]..., spec]
+//
+// where bins[lo:lo+cnt] is the smallest window holding every bin whose
+// bits are non-zero (an empty accumulator packs as [0, 0, spec]), so a
+// record is 3 to PackedMaxLen words. UnpackTransports expands the
+// records back into the exact transport words and rejects malformed
+// input (a window past the last bin, a truncated record, trailing
+// words) with an error before writing out of range.
 package detsum
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 const (
 	// binWidth is the chunk width in bits. Each bin b holds an integer
@@ -145,7 +166,13 @@ func (a *Acc) Merge(o *Acc) {
 // exact sum, so equal sums always produce equal results regardless of
 // the addition history.
 func (a *Acc) Round() float64 {
-	if a.spec != 0 || math.IsNaN(a.spec) {
+	if math.IsNaN(a.spec) {
+		// Canonical NaN: which NaN an Inf-Inf or NaN+NaN addition
+		// yields depends on operand order, so returning the payload
+		// would make the bits depend on the merge tree.
+		return math.NaN()
+	}
+	if a.spec != 0 {
 		return a.spec
 	}
 	a.carry()
@@ -226,14 +253,6 @@ func (a *Acc) Transport(dst []float64) []float64 {
 	return append(dst, a.spec)
 }
 
-// FromTransport reconstructs an accumulator from Transport's words.
-func FromTransport(w []float64) *Acc {
-	a := &Acc{}
-	copy(a.bins[:], w[:numBins])
-	a.spec = w[numBins]
-	return a
-}
-
 // MergeTransport adds the transported accumulator src into dst
 // word-by-word (dst and src both in Transport layout). The addition is
 // exact for any realistic number of merges (bins are carry-normalized
@@ -245,9 +264,92 @@ func MergeTransport(dst, src []float64) {
 	}
 }
 
-// RoundTransport rounds a transported accumulator without copying it
-// back into an Acc first.
-func RoundTransport(w []float64) float64 { return FromTransport(w).Round() }
+// RoundTransport rounds a transported accumulator in a stack-resident
+// Acc, without allocating.
+func RoundTransport(w []float64) float64 {
+	var a Acc
+	copy(a.bins[:], w[:numBins])
+	a.spec = w[numBins]
+	return a.Round()
+}
+
+// PackedMaxLen is the longest packed record of one transport: lo, cnt,
+// every bin and spec.
+const PackedMaxLen = numBins + 3
+
+// PackTransports packs the concatenated transports in src into dst in
+// the compact wire format (see the package doc) and returns the number
+// of words written. dst must hold PackedMaxLen words per transport.
+//
+//gpaw:hotpath
+func PackTransports(dst, src []float64) int {
+	if len(src)%TransportLen != 0 || len(dst) < len(src)/TransportLen*PackedMaxLen {
+		panic("detsum: PackTransports needs whole transports and PackedMaxLen words of room per transport")
+	}
+	pos := 0
+	for off := 0; off < len(src); off += TransportLen {
+		t := src[off : off+TransportLen]
+		lo, hi := 0, numBins
+		for lo < hi && math.Float64bits(t[lo]) == 0 {
+			lo++
+		}
+		for hi > lo && math.Float64bits(t[hi-1]) == 0 {
+			hi--
+		}
+		if lo == hi {
+			lo, hi = 0, 0
+		}
+		n := hi - lo
+		dst[pos], dst[pos+1] = float64(lo), float64(n)
+		copy(dst[pos+2:pos+2+n], t[lo:hi])
+		dst[pos+2+n] = t[numBins]
+		pos += n + 3
+	}
+	return pos
+}
+
+// UnpackTransports expands the packed records in src into the
+// concatenated transports dst (len(dst)/TransportLen records expected),
+// reproducing PackTransports' input words exactly. Malformed input — a
+// window that is not a pair of integers with lo+cnt <= the bin count, a
+// record cut short, a record count that does not match dst — returns an
+// error; dst is never written out of range.
+//
+//gpaw:hotpath
+func UnpackTransports(dst, src []float64) error {
+	if len(dst)%TransportLen != 0 {
+		//lint:ignore hotpathalloc error path: a misuse is reported once, the steady state never reaches it
+		return fmt.Errorf("detsum: unpack destination of %d words is not whole transports", len(dst))
+	}
+	pos := 0
+	for off := 0; off < len(dst); off += TransportLen {
+		if len(src)-pos < 3 {
+			//lint:ignore hotpathalloc error path: malformed input is reported once, never in the steady state
+			return fmt.Errorf("detsum: packed record %d truncated at word %d of %d", off/TransportLen, pos, len(src))
+		}
+		lo, cnt := src[pos], src[pos+1]
+		if !(lo >= 0 && cnt >= 0 && lo+cnt <= numBins) || lo != math.Trunc(lo) || cnt != math.Trunc(cnt) {
+			//lint:ignore hotpathalloc error path: malformed input is reported once, never in the steady state
+			return fmt.Errorf("detsum: packed record %d has window lo=%g cnt=%g outside %d bins", off/TransportLen, lo, cnt, numBins)
+		}
+		l, n := int(lo), int(cnt)
+		if len(src)-pos < n+3 {
+			//lint:ignore hotpathalloc error path: malformed input is reported once, never in the steady state
+			return fmt.Errorf("detsum: packed record %d truncated: needs %d words, %d left", off/TransportLen, n+3, len(src)-pos)
+		}
+		t := dst[off : off+TransportLen]
+		clear(t[:l])
+		copy(t[l:l+n], src[pos+2:pos+2+n])
+		clear(t[l+n : numBins])
+		t[numBins] = src[pos+2+n]
+		pos += n + 3
+	}
+	if pos != len(src) {
+		//lint:ignore hotpathalloc error path: malformed input is reported once, never in the steady state
+		return fmt.Errorf("detsum: %d trailing words after %d packed records", len(src)-pos, len(dst)/TransportLen)
+	}
+	return nil
+}
 
 // Sum is a convenience: the deterministic sum of a slice.
 func Sum(vs []float64) float64 {

@@ -26,8 +26,8 @@ import (
 //   - subspace matrices are assembled by circulating band blocks through
 //     the band communicator in ascending order; each group computes the
 //     rows it owns from local sub-domain dot products (rounded once per
-//     element, detsum-exact), reduces them over its domain communicator
-//     in rank order, and the rows are merged across band groups verbatim;
+//     element, detsum-exact), reduces them exactly over its domain
+//     communicator, and the rows are merged across band groups verbatim;
 //   - the m x m dense algebra (Cholesky, triangular inversion, symmetric
 //     diagonalization) runs in internal/pblas on a 2D process grid built
 //     over the band communicator;
@@ -133,7 +133,7 @@ func (d *Dist) forEachBandState(m int, local []*grid.Grid, f func(gi int, src *g
 // right-hand states circulate through the band communicator in
 // ascending order; the pair (i, j) is computed by the owner of i from
 // local sub-domain dots accumulated into detsum accumulators, reduced
-// exactly over the domain communicator in rank order, and the finished
+// exactly over the domain communicator, and the finished
 // rows are merged across band groups verbatim. Every entry is
 // bit-identical to the serial symMatrix value.
 func (d *Dist) bandSymMatrix(m int, out linalg.Matrix, left, right []*grid.Grid) {

@@ -31,9 +31,11 @@ import (
 //     async/double-buffered protocol), so distributed stencil reads see
 //     the same numbers serial reads see through FillHalos*.
 //  2. Reductions accumulate into detsum.Acc and merge per-rank partial
-//     accumulators exactly through mpi.AllreduceFunc in rank order, so
-//     every dot product, norm and sum equals the serial value bitwise
-//     regardless of the decomposition or message arrival order.
+//     accumulators exactly through mpi.AllreduceTransports, whose
+//     recursive-doubling tree is fixed by the communicator size; the
+//     merge is exact, so every dot product, norm and sum equals the
+//     serial value bitwise regardless of the decomposition, the tree
+//     shape or message arrival order.
 //  3. Everything else is elementwise and runs the very same fused
 //     kernels (internal/stencil) on local sub-domains.
 //
@@ -163,6 +165,10 @@ type Dist struct {
 	// the 1/Threads parallel speedup, so charges from concurrently
 	// communicating workers simply add.
 	pointNs float64
+
+	// redIn, redOut and redVals are reduceAccs' reusable scratch: the
+	// concatenated transports, their reduction and the rounded values.
+	redIn, redOut, redVals []float64
 }
 
 // NewDist builds the per-rank distributed context. Every rank of the
@@ -328,21 +334,37 @@ func (d *Dist) withOverlap(eng *core.Engine, g *grid.Grid, full, interior, shell
 
 // --- deterministic global reductions -------------------------------
 
-// reduceAccs merges every rank's accumulators exactly (rank-ordered,
+// reduceAccs merges every rank's accumulators exactly (a fixed tree,
 // arrival-order independent) and returns the rounded global values, one
-// per accumulator. All ranks receive identical results.
+// per accumulator. All ranks receive identical results. The returned
+// slice is scratch, valid until the next reduction on d.
+//
+//gpaw:hotpath
 func (d *Dist) reduceAccs(accs []*detsum.Acc) []float64 {
-	in := make([]float64, 0, len(accs)*detsum.TransportLen)
+	n := len(accs) * detsum.TransportLen
+	d.growReduceScratch(len(accs))
+	in := d.redIn[:0]
 	for _, a := range accs {
 		in = a.Transport(in)
 	}
-	out := make([]float64, len(in))
-	d.Cart.AllreduceFunc(in, out, detsum.MergeTransport)
-	vals := make([]float64, len(accs))
-	for i := range accs {
+	out := d.redOut[:n]
+	d.Cart.AllreduceTransports(in, out)
+	vals := d.redVals[:len(accs)]
+	for i := range vals {
 		vals[i] = detsum.RoundTransport(out[i*detsum.TransportLen : (i+1)*detsum.TransportLen])
 	}
 	return vals
+}
+
+// growReduceScratch sizes reduceAccs' scratch for k accumulators; it
+// allocates only when k exceeds every earlier reduction on d.
+func (d *Dist) growReduceScratch(k int) {
+	if cap(d.redVals) >= k {
+		return
+	}
+	d.redIn = make([]float64, 0, k*detsum.TransportLen)
+	d.redOut = make([]float64, k*detsum.TransportLen)
+	d.redVals = make([]float64, k)
 }
 
 // reduceAcc reduces a single accumulator to its global value.

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"repro/internal/detsum"
 	"repro/internal/trace"
 )
 
@@ -16,6 +17,17 @@ import (
 // it was split from) in disjoint tag spaces. Sequence numbers wrap, which
 // is safe because matching is FIFO per (source, tag): a wrapped tag can
 // only collide with a message the receiver must consume first anyway.
+//
+// Fixed-tree contract. Allreduce, AllreduceFunc and AllreduceTransports
+// share one recursive-doubling skeleton (allreduce) whose merge tree is
+// a fixed function of the communicator size: the lower rank block is
+// always the accumulator, never the first message to arrive. Every rank
+// applies the same merges to the same operands, so a deterministic merge
+// gives identical bits on every rank, run to run, whatever the
+// scheduling. For an exact, associative merge (the detsum transports
+// the solver stack reduces, max and min, ownership-masked copies with
+// disjoint owners) the bits also equal the ascending linear fold.
+// Reduce folds at a root in ascending rank order.
 
 // collTag returns the reserved tag for the n-th collective call on this
 // communicator.
@@ -164,70 +176,184 @@ func (c *Comm) Reduce(root int, op Op, in, out []float64) {
 	}
 }
 
-// ReduceFunc folds every rank's contribution into out at root with a
-// caller-supplied merge function, always applied in ascending rank
-// order: merge(acc, contribution of rank r) for r = 0, 1, ... The rank
-// order is independent of message arrival order, so a merge whose
-// operation is deterministic produces deterministic results run to run
-// regardless of scheduling — the property the solver stack's exact
-// accumulator reductions (internal/detsum) are built on. out is only
-// written at root; in and out must not alias.
-func (c *Comm) ReduceFunc(root int, in, out []float64, merge func(acc, contrib []float64)) {
-	c.enter()
-	defer c.exit()
-	if rk := c.traceRank(); rk != nil {
-		defer rk.BeginComm("mpi.reduce", trace.KindCollective, c.worldRank(root), -1, int64(len(in))*8).End()
-	}
-	tag := c.collTag(c.coll)
-	c.coll++
-	if c.rank != root {
-		c.sendInternal(root, tag, in)
-		return
-	}
-	if len(out) < len(in) {
-		panic("mpi: ReduceFunc output shorter than input")
-	}
-	parts := make([][]float64, len(c.group))
-	parts[root] = in
-	for r := 0; r < len(c.group); r++ {
-		if r == root {
-			continue
-		}
-		buf := make([]float64, len(in))
-		c.irecv(r, tag, buf).Wait()
-		parts[r] = buf
-	}
-	acc := out[:len(in)]
-	copy(acc, parts[0])
-	for r := 1; r < len(c.group); r++ {
-		merge(acc, parts[r])
-	}
-}
-
-// AllreduceFunc is ReduceFunc to rank 0 followed by a broadcast of the
-// merged result to every rank.
+// AllreduceFunc merges every rank's contribution with a caller-supplied
+// merge function and leaves the result in out on every rank. The merges
+// follow the fixed recursive-doubling tree (see the fixed-tree contract
+// above and allreduce): any deterministic merge yields identical bits on
+// every rank, and an exact, associative merge equals the ascending
+// linear fold merge(...merge(merge(r0, r1), r2)..., rp-1). in and out
+// must not alias.
 func (c *Comm) AllreduceFunc(in, out []float64, merge func(acc, contrib []float64)) {
-	if len(out) < len(in) {
-		panic("mpi: AllreduceFunc output shorter than input")
-	}
-	if rk := c.traceRank(); rk != nil {
-		defer rk.BeginComm("mpi.allreduce", trace.KindCollective, -1, -1, int64(len(in))*8).End()
-	}
-	c.ReduceFunc(0, in, out, merge)
-	c.Bcast(0, out[:len(in)])
+	c.allreduce(in, out, merge, false)
 }
 
 // Allreduce combines every rank's contribution with op and distributes
-// the result to all ranks (Reduce to rank 0 + Bcast).
+// the result to all ranks, on the same recursive-doubling tree as
+// AllreduceFunc. OpMax and OpMin are exact, so their results equal the
+// linear fold; OpSum rounds in tree order, deterministic and identical
+// on every rank but not the linear fold's bits.
 func (c *Comm) Allreduce(op Op, in, out []float64) {
-	if len(out) < len(in) {
-		panic("mpi: Allreduce output shorter than input")
+	c.allreduce(in, out, op.apply, false)
+}
+
+// AllreduceTransports reduces concatenated detsum transports (k blocks
+// of detsum.TransportLen words) exactly: out receives, on every rank,
+// the word-by-word detsum.MergeTransport of all contributions. Every
+// message travels in detsum's compact wire format, carrying only each
+// accumulator's non-zero bin window, and is expanded back to the exact
+// transport words before the merge — the bits equal AllreduceFunc with
+// detsum.MergeTransport.
+func (c *Comm) AllreduceTransports(in, out []float64) {
+	if len(in)%detsum.TransportLen != 0 {
+		panic("mpi: AllreduceTransports input is not whole detsum transports")
 	}
+	c.allreduce(in, out, detsum.MergeTransport, true)
+}
+
+// allreduce is the one allreduce skeleton: recursive doubling (Thakur,
+// Rabenseifner & Gropp, "Optimization of Collective Communication
+// Operations in MPICH"), log2 p exchange rounds instead of a linear
+// reduce at a root plus a broadcast.
+//
+// Fixed-tree contract. Let pof2 be the largest power of two <= p and
+// rem = p - pof2. Fold: for r < 2*rem, even rank r sends its vector to
+// r+1, which forms merge(v[r], v[r+1]); the pof2 survivors (the odd
+// ranks below 2*rem, then every rank from 2*rem up) each hold one
+// ascending block of consecutive ranks, block i being {2i, 2i+1} for
+// i < rem and {i+rem} otherwise. Doubling: in round k blocks i and
+// i^2^k exchange vectors and both compute merge(lower, upper), the
+// lower block always being the accumulator. After log2 pof2 rounds every
+// survivor holds the balanced ascending tree over the blocks, e.g. for
+// p = 6: ((v0·v1)·(v2·v3))·(v4·v5); unfold sends it back to the even
+// ranks below 2*rem. Both partners of an exchange merge the same
+// operands in the same order, so the bits agree on every rank.
+//
+// packed ships the vectors in detsum's compact wire format (the vector
+// is then whole detsum transports). p = 1 sends nothing. The scratch
+// buffers live on the communicator and are reused call to call.
+//
+//gpaw:hotpath
+func (c *Comm) allreduce(in, out []float64, merge func(acc, contrib []float64), packed bool) {
+	n := len(in)
+	if len(out) < n {
+		panic("mpi: allreduce output shorter than input")
+	}
+	c.enter()
+	defer c.exit()
+	tmp, wire, rwire := c.reduceScratch(n, packed)
 	if rk := c.traceRank(); rk != nil {
-		defer rk.BeginComm("mpi.allreduce", trace.KindCollective, -1, -1, int64(len(in))*8).End()
+		bytes := int64(n) * 8
+		if packed {
+			bytes = int64(detsum.PackTransports(wire, in)) * 8
+		}
+		defer rk.BeginComm("mpi.allreduce", trace.KindCollective, -1, -1, bytes).End()
 	}
-	c.Reduce(0, op, in, out)
-	c.Bcast(0, out[:len(in)])
+	tag := c.collTag(c.coll)
+	c.coll++
+	acc := out[:n]
+	copy(acc, in)
+	p := len(c.group)
+	if p == 1 {
+		return
+	}
+	pof2 := 1
+	for pof2*2 <= p {
+		pof2 *= 2
+	}
+	rem := p - pof2
+	me := c.rank
+	var block int // my block index among the pof2 survivors
+	switch {
+	case me < 2*rem && me%2 == 0:
+		// Folded out: hand my vector to me+1 and wait for the result.
+		unfold := c.reduceRecv(me+1, tag, acc, rwire, packed)
+		c.reduceSend(me+1, tag, acc, wire, packed)
+		c.reduceWait(unfold, acc, rwire, packed)
+		return
+	case me < 2*rem:
+		c.reduceWait(c.reduceRecv(me-1, tag, tmp, rwire, packed), tmp, rwire, packed)
+		merge(tmp, acc)
+		acc, tmp = tmp, acc
+		block = me / 2
+	default:
+		block = me - rem
+	}
+	for mask := 1; mask < pof2; mask <<= 1 {
+		pb := block ^ mask
+		partner := pb + rem
+		if pb < rem {
+			partner = 2*pb + 1
+		}
+		req := c.reduceRecv(partner, tag, tmp, rwire, packed)
+		c.reduceSend(partner, tag, acc, wire, packed)
+		c.reduceWait(req, tmp, rwire, packed)
+		if pb < block {
+			merge(tmp, acc)
+			acc, tmp = tmp, acc
+		} else {
+			merge(acc, tmp)
+		}
+	}
+	if me < 2*rem {
+		c.reduceSend(me-1, tag, acc, wire, packed)
+	}
+	copy(out[:n], acc) // no-op when acc is already out's storage
+}
+
+// reduceScratch returns the communicator's reusable allreduce buffers:
+// the merge partner vector of n words and, when packed, the send and
+// receive wire buffers. They grow on first use at a size and are reused
+// thereafter (collectives on one communicator never run concurrently).
+func (c *Comm) reduceScratch(n int, packed bool) (tmp, wire, rwire []float64) {
+	if cap(c.redTmp) < n {
+		c.redTmp = make([]float64, n)
+	}
+	if !packed {
+		return c.redTmp[:n], nil, nil
+	}
+	w := n / detsum.TransportLen * detsum.PackedMaxLen
+	if cap(c.redWire) < w {
+		c.redWire = make([]float64, w)
+		c.redRecv = make([]float64, w)
+	}
+	return c.redTmp[:n], c.redWire[:w], c.redRecv[:w]
+}
+
+// reduceRecv posts the receive of a partner's vector: straight into dst,
+// or into the wire buffer when packed.
+//
+//gpaw:hotpath
+func (c *Comm) reduceRecv(from, tag int, dst, rwire []float64, packed bool) *Request {
+	if packed {
+		return c.irecv(from, tag, rwire)
+	}
+	return c.irecv(from, tag, dst)
+}
+
+// reduceSend ships v to a partner, packed into the wire buffer first
+// when packed.
+//
+//gpaw:hotpath
+func (c *Comm) reduceSend(to, tag int, v, wire []float64, packed bool) {
+	if packed {
+		v = wire[:detsum.PackTransports(wire, v)]
+	}
+	c.sendInternal(to, tag, v)
+}
+
+// reduceWait completes a reduceRecv, expands a packed message into dst
+// (using the length the receive reports) and returns the request to
+// the world's pool.
+//
+//gpaw:hotpath
+func (c *Comm) reduceWait(req *Request, dst, rwire []float64, packed bool) {
+	_, _, got := req.Wait()
+	Reclaim(req)
+	if packed {
+		if err := detsum.UnpackTransports(dst, rwire[:got]); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // AllreduceSum is a convenience wrapper reducing a single value.

@@ -264,6 +264,11 @@ type Comm struct {
 	// agreeSeq counts Agree calls, like coll for collectives: all ranks
 	// call Agree in the same order, so the local counters line up.
 	agreeSeq uint64
+
+	// redTmp, redWire and redRecv are allreduce's reusable scratch: the
+	// partner vector and the packed send and receive buffers (see
+	// reduceScratch).
+	redTmp, redWire, redRecv []float64
 }
 
 // Rank returns the caller's rank within the communicator.
